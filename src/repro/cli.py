@@ -127,10 +127,10 @@ def _add_adaptive_flags(parser: argparse.ArgumentParser) -> None:
     """Knobs for the adaptive best-bound-first columnar search path."""
     parser.add_argument(
         "--prune-seed", type=int, default=0, metavar="N",
-        help="seed-sample size: a stride pre-pass length on the scalar "
-        "path, the surrogate-picked tile-0 bucket count on the adaptive "
-        "columnar path (0 = auto, negative = no seeding; the answer is "
-        "identical either way)",
+        help="surrogate-picked tile-0 bucket count of the serial adaptive "
+        "columnar search (0 = auto, negative = no seeding; chunked runs "
+        "seed each range with the running k-th-best rate instead; the "
+        "answer is identical either way)",
     )
     parser.add_argument(
         "--no-surrogate", action="store_true",

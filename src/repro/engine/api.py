@@ -18,7 +18,6 @@ Three ways to run the pipeline:
 
 from __future__ import annotations
 
-import logging
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -32,7 +31,6 @@ from ..obs.stats import (
     M_BOUND_PRUNED,
     M_BUCKET_HITS,
     M_CANDIDATES,
-    M_COLUMNAR_FALLBACK,
     M_COMM_CACHE_HITS,
     M_COMM_CACHE_MISSES,
     M_EVALUATED_FULL,
@@ -57,7 +55,6 @@ from .stages import (
     stage_validate,
 )
 
-logger = logging.getLogger(__name__)
 
 # Version of the evaluation semantics.  Bump whenever a change makes the
 # engine produce different numbers for the same (llm, system, strategy) —
@@ -90,34 +87,18 @@ _M_ASSEMBLE = stage_metric("assemble")
 _COLUMNAR_MIN_BATCH = 32
 
 
-def _load_batch():
-    """Import the columnar engine module (a seam for fallback tests)."""
-    from . import batch
-
-    return batch
-
-
-def _resolve_columnar(
-    columnar: bool | None, n: int, mx: MetricsRegistry | None
-):
+def _resolve_columnar(columnar: bool | None, n: int):
     """Decide the evaluation path: the batch module, or ``None`` for scalar.
 
     ``columnar=False`` always picks scalar; ``None`` auto-routes (columnar
     for batches of at least ``_COLUMNAR_MIN_BATCH`` candidates); ``True``
-    insists.  An unimportable batch module (NumPy below the floor) falls
-    back to scalar and counts one ``engine.columnar.fallback``.
+    insists.
     """
-    if columnar is False:
+    if columnar is False or (columnar is None and n < _COLUMNAR_MIN_BATCH):
         return None
-    if columnar is None and n < _COLUMNAR_MIN_BATCH:
-        return None
-    try:
-        return _load_batch()
-    except ImportError as err:
-        logger.debug("columnar engine unavailable; using scalar path: %s", err)
-        if mx is not None:
-            mx.inc(M_COLUMNAR_FALLBACK)
-        return None
+    from . import batch
+
+    return batch
 
 
 def evaluate(
@@ -271,7 +252,7 @@ def iter_evaluate(
         for i, strategy in enumerate(strategies):
             yield i, evaluate(llm, system, strategy, metrics=mx)
         return
-    batch_mod = _resolve_columnar(columnar, len(strategies), mx)
+    batch_mod = _resolve_columnar(columnar, len(strategies))
     if mx is not None:
         cc0 = comm_cache_stats()
     try:

@@ -7,9 +7,9 @@ fault policies (:mod:`repro.search.faults`), the HTTP service plumbing
 
 * :mod:`~repro.fabric.plan` — chunk layout + problem (de)serialization,
   identified by a content-addressed run key;
-* :mod:`~repro.fabric.merge` — the associative bounded top-k fold that
+* :mod:`~repro.search.merge` — the associative bounded top-k fold that
   keeps the distributed answer bit-identical to a single process;
-* :mod:`~repro.fabric.chunkeval` — the per-chunk evaluator shared by
+* :mod:`~repro.fabric.chunkeval` — the per-chunk evaluators shared by
   workers and the coordinator's serial fallback;
 * :mod:`~repro.fabric.coordinator` / :mod:`~repro.fabric.server` — the
   lease state machine and its HTTP face (a grown ``repro.service`` server);
@@ -20,10 +20,10 @@ fault policies (:mod:`repro.search.faults`), the HTTP service plumbing
 Protocol and bit-identity argument: ``docs/FABRIC.md``.
 """
 
+from ..search.merge import TopKMerge
 from .chunkeval import evaluate_chunk, evaluate_serve_chunk
 from .cluster import run_fabric
 from .coordinator import FabricCoordinator, FabricError
-from .merge import TopKMerge
 from .plan import (
     ChunkSpec,
     enumerate_serve_space,

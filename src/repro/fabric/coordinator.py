@@ -16,7 +16,7 @@ workers over a **pull** protocol:
   ``wait`` while the worker barrier or outstanding leases hold, and
   answers ``done`` when every chunk is merged.
 * ``POST /chunk/result`` — a worker posts a finished chunk payload
-  (:func:`~repro.fabric.chunkeval.evaluate_chunk`'s wire form).  Results
+  (:func:`~repro.search.chunkeval.evaluate_chunk`'s wire form).  Results
   are idempotent: a stale duplicate (the lease already expired and another
   worker re-ran the chunk) is acknowledged and discarded — the engine is
   deterministic, so both copies are byte-equal anyway.
@@ -37,7 +37,7 @@ waiting so a fully dead cluster still degrades to the serial fallback.
 
 The merged answer is bit-identical to single-process ``search()`` — the
 per-chunk columnar slices are bit-identical by the engine's batch-
-composition contract, and :class:`~repro.fabric.merge.TopKMerge` ranks on
+composition contract, and :class:`~repro.search.merge.TopKMerge` ranks on
 the total order ``(-rate, global index)``, making the fold associative and
 commutative (the bit-identity argument is laid out in ``docs/FABRIC.md``).
 """
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any
 
@@ -65,10 +65,10 @@ from ..obs import (
     escape_label_value,
 )
 from ..search.checkpoint import CheckpointJournal
+from ..search.chunkeval import evaluate_chunk
 from ..search.execution_search import SearchOptions, SearchResult
 from ..search.faults import RetryPolicy
-from .chunkeval import evaluate_chunk
-from .merge import TopKMerge
+from ..search.merge import TopKMerge
 from .plan import (
     ChunkSpec,
     enumerate_space,

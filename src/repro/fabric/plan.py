@@ -205,19 +205,13 @@ def enumerate_space(
 
     Prefers the vectorized columnar enumerator (milliseconds even for
     ~100k-candidate spaces); falls back to materializing the scalar
-    strategy list when NumPy is below the columnar floor or the option
-    space uses mode names the columnar codes don't cover.  Both forms
-    describe the *same sequence* — global index ``i`` means the same
-    candidate either way.
+    strategy list when the option space uses mode names the columnar codes
+    don't cover.  Both forms describe the *same sequence* — global index
+    ``i`` means the same candidate either way.
     """
-    cols = None
-    if columnar:
-        try:
-            from ..search.columns import candidate_columns
-        except ImportError:
-            cols = None
-        else:
-            cols = candidate_columns(llm, system, batch, options)
+    from ..search.columns import candidate_columns
+
+    cols = candidate_columns(llm, system, batch, options) if columnar else None
     if cols is not None:
         return cols, None, int(cols["t"].shape[0])
     strategies = list(candidate_strategies(llm, system, batch, options))

@@ -10,7 +10,7 @@ transport (same retry/backoff machinery the query CLI uses):
    verify the content key matches — a worker pointed at the wrong cluster
    refuses instead of polluting the merge;
 3. loop ``POST /chunk/lease`` → evaluate the ``[start, stop)`` slice with
-   :func:`~repro.fabric.chunkeval.evaluate_chunk` → ``POST /chunk/result``
+   :func:`~repro.search.chunkeval.evaluate_chunk` → ``POST /chunk/result``
    until the coordinator answers ``done``.
 
 Every chunk payload carries a metrics snapshot and trace spans stamped
@@ -36,8 +36,8 @@ import time
 from typing import Any
 
 from ..io.specs import llm_from_spec, system_from_spec
+from ..search.chunkeval import evaluate_chunk
 from ..service.client import ServiceClient
-from .chunkeval import evaluate_chunk
 from .plan import fabric_run_key, options_from_dict
 
 logger = logging.getLogger(__name__)

@@ -63,9 +63,15 @@ class ServingStats:
 
 def _decode_step_time(
     llm: LLMConfig, system: System, strategy: InferenceStrategy,
-    batch: int, context: int,
+    batch: int, context: float,
 ) -> float:
-    """One decode iteration for ``batch`` sequences at ``context`` length."""
+    """One decode iteration for ``batch`` sequences at mean ``context`` length.
+
+    Every context-dependent cost of the step (attention FLOPs, KV reads,
+    softmax work) is linear in ``batch * context``, so pricing the batch at
+    its exact mean context charges exactly the sum of the sequences' own
+    contexts.
+    """
     prof = profile_decode_block(
         llm, batch=batch, context=max(context, 1),
         tensor_par=strategy.tensor_par,
@@ -159,9 +165,9 @@ def simulate_serving(
             break
 
         # One decode iteration for the whole running batch.
-        avg_ctx = workload.prompt_len + int(
-            sum(active.values()) / len(active)
-        )
+        # The exact mean: a truncated one under-prices a mixed-age batch's
+        # KV traffic by up to one token per sequence.
+        avg_ctx = workload.prompt_len + sum(active.values()) / len(active)
         step = _decode_step_time(llm, system, strategy, len(active), avg_ctx)
         now += step
         batch_occupancy_time += step * len(active)

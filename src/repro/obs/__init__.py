@@ -38,7 +38,6 @@ from .stats import (
     M_CANDIDATES,
     M_COLUMNAR_BATCHES,
     M_COLUMNAR_CANDIDATES,
-    M_COLUMNAR_FALLBACK,
     M_COMM_CACHE_HITS,
     M_COMM_CACHE_MISSES,
     M_EVALUATED_FULL,
@@ -86,7 +85,6 @@ __all__ = [
     "M_CANDIDATES",
     "M_COLUMNAR_BATCHES",
     "M_COLUMNAR_CANDIDATES",
-    "M_COLUMNAR_FALLBACK",
     "M_COMM_CACHE_HITS",
     "M_COMM_CACHE_MISSES",
     "M_EVALUATED_FULL",

@@ -41,7 +41,6 @@ M_COMM_CACHE_HITS = "engine.comm_cache.hits"
 M_COMM_CACHE_MISSES = "engine.comm_cache.misses"
 M_COLUMNAR_BATCHES = "engine.columnar.batches"
 M_COLUMNAR_CANDIDATES = "engine.columnar.candidates"
-M_COLUMNAR_FALLBACK = "engine.columnar.fallback"
 
 # -- search metric names ------------------------------------------------------
 # Histogram of per-chunk wall seconds, observed inside each worker and merged
@@ -75,11 +74,10 @@ class PruneStats:
     the process-global comm kernel caches
     (:func:`repro.engine.stages.comm_cache_stats`).
 
-    The columnar engine adds three more: ``columnar_batches`` struct-of-
-    arrays batches executed, ``columnar_candidates`` candidates those
+    The columnar engine adds two more: ``columnar_batches`` struct-of-
+    arrays batches executed and ``columnar_candidates`` candidates those
     batches covered (the remaining ``candidates`` went through the scalar
-    path), and ``columnar_fallback`` requests that asked for the columnar
-    path but fell back to scalar (NumPy too old / import failure).
+    path).
 
     The adaptive best-bound-first layer adds ``bound_tiles`` bucket-ordered
     tiles executed, ``bound_skipped_buckets`` memory buckets whose comm and
@@ -106,7 +104,6 @@ class PruneStats:
     comm_cache_misses: int = 0
     columnar_batches: int = 0
     columnar_candidates: int = 0
-    columnar_fallback: int = 0
     stage_seconds: Mapping[str, float] = field(default_factory=dict)
 
     @classmethod
@@ -129,7 +126,6 @@ class PruneStats:
             comm_cache_misses=int(reg.value(M_COMM_CACHE_MISSES)),
             columnar_batches=int(reg.value(M_COLUMNAR_BATCHES)),
             columnar_candidates=int(reg.value(M_COLUMNAR_CANDIDATES)),
-            columnar_fallback=int(reg.value(M_COLUMNAR_FALLBACK)),
             stage_seconds=MappingProxyType(
                 {s: reg.stage_total(stage_metric(s)) for s in STAGE_NAMES}
             ),
@@ -199,7 +195,6 @@ class PruneStats:
             comm_cache_misses=self.comm_cache_misses + other.comm_cache_misses,
             columnar_batches=self.columnar_batches + other.columnar_batches,
             columnar_candidates=self.columnar_candidates + other.columnar_candidates,
-            columnar_fallback=self.columnar_fallback + other.columnar_fallback,
             stage_seconds=MappingProxyType(seconds),
         )
 
@@ -233,11 +228,10 @@ class PruneStats:
                 f"{self.comm_cache_misses:,} misses "
                 f"({self.comm_cache_hit_rate * 100:.1f}% hit rate)"
             )
-        if self.columnar_batches or self.columnar_fallback:
+        if self.columnar_batches:
             lines.append(
                 f"columnar batches      {self.columnar_batches:,} "
-                f"({self.columnar_candidates:,} candidates, "
-                f"{self.columnar_fallback:,} scalar fallbacks)"
+                f"({self.columnar_candidates:,} candidates)"
             )
         total = sum(self.stage_seconds.values())
         if total > 0:

@@ -22,7 +22,7 @@ tens of microseconds:
 Sweep-scale caveat: per-candidate spans at 10^5+ candidates would produce
 gigabyte traces, so batched evaluation records *aggregate* stage spans —
 one span per pipeline stage per chunk, sized by the chunk's accumulated
-stage time (see ``repro.search._evaluate_chunk``).  Single-candidate
+stage time (see ``repro.search.chunkeval.evaluate_chunk``).  Single-candidate
 :func:`repro.engine.evaluate` records real per-stage spans.
 """
 

@@ -6,7 +6,7 @@ same order — directly as int64 NumPy columns, without ever constructing the
 (hundreds of thousands of) :class:`~repro.execution.strategy.ExecutionStrategy`
 objects.  The columns feed
 :meth:`repro.engine.batch.EvalBatch.from_columns`; the handful of candidates
-a search actually reports (the top-k winners, the prune-seed sample) are
+a search actually reports (the top-k winners) are
 materialized on demand via :meth:`~repro.engine.batch.EvalBatch.strategy_at`.
 
 The inner option product — recompute x seq-par modes x TP overlap x DP
@@ -17,9 +17,6 @@ filter (``sp`` requires ``t > 1`` and ``t | seq``), which depends only on
 sp-free variant), and each prefix contributes ``tile(combos)`` against
 ``repeat(m, v)`` — enumeration cost scales with the number of *distinct*
 prefixes, not with the candidate count.
-
-Importing this module requires the columnar engine (NumPy >= 1.24);
-callers treat ``ImportError`` as "fall back to scalar enumeration".
 """
 
 from __future__ import annotations

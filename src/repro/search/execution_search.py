@@ -6,32 +6,32 @@ best performer (by sample rate) plus distribution statistics.  The
 enumeration covers the full Table-1 space; :class:`SearchOptions` restricts
 any dimension for scoped studies (e.g. Fig. 5's "original optimizations").
 
-A multi-core map mirrors the paper's "minutes on a standard desktop" claim:
-the per-configuration model is fast (well under a millisecond) and
-configurations are independent, so the sweep parallelizes trivially.
+The space is enumerated once, straight into NumPy columns, and evaluated
+as global column ranges ``[start, stop)``: one range through the adaptive
+columnar batch for a plain serial search, several ranges through
+:func:`~repro.search.chunkeval.evaluate_chunk` when a process pool or a
+per-chunk fault-tolerance feature (checkpoint, deadline, retry, fault
+injection) asks for chunks.  Configurations are independent, so the sweep
+parallelizes trivially — but at ~0.5-1M candidates/s per core a pool only
+pays for very large spaces (see :func:`auto_workers`).
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import logging
 import math
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from time import perf_counter
+from typing import Any, Callable
 
 import numpy as np
 
 from ..core.results import PerformanceResult
-from ..engine import (
-    comm_cache_stats,
-    evaluate,
-    evaluate_many,
-    iter_evaluate,
-    prune_threshold_for_rate,
-)
+from ..engine import batch as engine_batch
+from ..engine import comm_cache_stats, evaluate
 from ..execution.strategy import ExecutionStrategy, divisors, factorizations
 from ..hardware.system import System
 from ..llm.config import LLMConfig
@@ -45,16 +45,11 @@ from ..obs import (
     SweepStats,
     Tracer,
 )
-from ..obs.stats import (
-    M_BOUND_SKIPPED_BUCKETS,
-    M_BOUND_TILES,
-    M_CHUNK_SECONDS,
-    M_SURROGATE_SEEDED,
-    STAGE_NAMES,
-    stage_metric,
-)
 from .checkpoint import CheckpointJournal, run_key
+from .chunkeval import _chunk_trace_events, evaluate_chunk
+from .columns import candidate_columns
 from .faults import FaultInjector, RetryPolicy, run_supervised
+from .merge import TopKMerge
 from .surrogate import (
     load_surrogate,
     seed_sample_size,
@@ -64,10 +59,18 @@ from .surrogate import (
 
 logger = logging.getLogger(__name__)
 
-# Below this many candidates per worker, pool startup + pickling costs more
-# than the evaluation itself (the per-candidate model runs in ~tens of
-# microseconds), so the auto heuristic stays serial.  See auto_workers().
-MIN_STRATEGIES_PER_WORKER = 2000
+# Candidates per pool worker below which an extra process costs more than
+# it saves.  The columnar chunk evaluator prices ~0.5-1M candidates/s per
+# core, so 250k candidates are ~0.25-0.5 s of serial work — about what a
+# worker adds before it contributes: forking the pool plus a duplicated
+# cold block profile and enumeration in every process (~0.2-0.3 s on a
+# 2-core host).  See auto_workers().
+MIN_STRATEGIES_PER_WORKER = 250_000
+
+# Chunks per worker in a chunked dispatch: enough granularity for the pool
+# to balance and for checkpoints/deadlines to bite, coarse enough that each
+# chunk amortizes its batch set-up.
+CHUNKS_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -249,193 +252,96 @@ def auto_workers(num_strategies: int, cpu_count: int | None = None) -> int:
 
     The heuristic: one worker per :data:`MIN_STRATEGIES_PER_WORKER`
     candidates, capped at the machine's core count and floored at one.
-    Small sweeps therefore run serially *by design* — even on a many-core
-    machine — because forking a pool and pickling the problem costs more
-    than evaluating a few thousand sub-millisecond candidates.  Callers who
+    The columnar evaluator is fast enough that spaces of a few hundred
+    thousand candidates — every paper-scale single-batch search, e.g. the
+    ~100k-candidate GPT-3 175B / 4096-GPU sweep — run serially *by design*,
+    even on a many-core machine: forking a pool and re-profiling in every
+    worker costs more than the evaluation it would share.  Callers who
     know better pass ``workers`` explicitly.
     """
     cpus = cpu_count if cpu_count is not None else (os.cpu_count() or 1)
     return max(1, min(cpus, num_strategies // MIN_STRATEGIES_PER_WORKER))
 
 
-def _chunk_trace_events(
-    tracer: Tracer,
-    chunk_index: int,
-    registry: MetricsRegistry,
-    start: float,
-    elapsed: float,
-    n_strategies: int,
-    feasible: int,
-) -> None:
-    """Record one chunk span plus per-stage aggregate child spans.
+# The enumerated space of the running search: ``(space key, cols,
+# strategies)``.  search() sets it before dispatch, so forked pool workers
+# inherit it; a worker started any other way enumerates once, on its first
+# range, and keeps the result for the rest of the run.
+_SPACE: tuple[str, dict | None, list | None] | None = None
 
-    Per-candidate stage spans at sweep scale would dwarf the work being
-    traced, so each chunk carries five synthetic child spans — one per
-    pipeline stage, sized by the chunk's accumulated stage wall time and
-    laid out sequentially from the chunk start.  They render as an in-chunk
-    breakdown in Perfetto; only their durations (not their placement) are
-    measurements.
 
-    The chunk span carries the tracer's ``trace_id`` in its args, so spans
-    shipped back from worker processes remain attributable to the
-    coordinator's trace after stitching.
+@dataclass(frozen=True)
+class _RangeRunner:
+    """Evaluate one ``(index, start, stop, floor_rate)`` range task.
+
+    Module-level and small, so a pool pickles it cheaply with every task;
+    the candidate columns never travel — each process takes them from the
+    per-process space cache (:data:`_SPACE`).
     """
-    tracer.add_span(
-        f"chunk[{chunk_index}]",
-        "search.chunk",
-        start,
-        elapsed,
-        candidates=n_strategies,
-        feasible=feasible,
-        trace_id=tracer.trace_id,
-    )
-    offset = start
-    for stage in STAGE_NAMES:
-        dur = registry.stage_total(stage_metric(stage))
-        if dur <= 0.0:
-            continue
-        tracer.add_span(stage, "engine.stage", offset, dur, aggregate=True)
-        offset += dur
-    tiles = int(registry.value(M_BOUND_TILES))
-    if tiles > 0:
-        # Adaptive tiled pass: one synthetic span carrying the tile/skip/
-        # seed counters, so traces show how hard the threshold bit.
-        tracer.add_span(
-            "adaptive", "engine.stage", start, elapsed, aggregate=True,
-            bound_tiles=tiles,
-            bound_skipped_buckets=int(registry.value(M_BOUND_SKIPPED_BUCKETS)),
-            surrogate_seeded=int(registry.value(M_SURROGATE_SEEDED)),
+
+    llm: LLMConfig
+    system: System
+    batch: int
+    options: "SearchOptions"
+    space_key: str
+    columnar: bool
+    top_k: int
+    keep_rates: bool
+    prune: bool
+    constraint: Callable[[PerformanceResult], bool] | None
+    instrument: bool
+    trace_id: str | None
+    injector: FaultInjector | None
+
+    def space(self) -> tuple[dict | None, list | None]:
+        global _SPACE
+        space = _SPACE
+        if space is None or space[0] != self.space_key:
+            problem = (self.llm, self.system, self.batch, self.options)
+            if self.columnar:
+                space = (self.space_key, candidate_columns(*problem), None)
+            else:
+                space = (self.space_key, None, list(candidate_strategies(*problem)))
+            _SPACE = space
+        return space[1], space[2]
+
+    def __call__(self, task: tuple[int, int, int, float]) -> dict[str, Any]:
+        index, start, stop, floor_rate = task
+        if self.injector is not None:
+            self.injector.fire(index)
+        cols, strategies = self.space()
+        return evaluate_chunk(
+            self.llm, self.system, start, stop, self.top_k,
+            cols=cols, strategies=strategies, chunk_index=index,
+            instrument=self.instrument, trace_id=self.trace_id,
+            floor_rate=floor_rate, keep_rates=self.keep_rates,
+            constraint=self.constraint, prune=self.prune,
         )
 
 
-def _evaluate_chunk(
-    args: tuple[
-        LLMConfig, System, list[ExecutionStrategy], int, object, bool, int,
-        FaultInjector | None, bool, float, bool | None, str | None,
-    ]
-) -> tuple[
-    int,
-    int,
-    list[tuple[ExecutionStrategy, PerformanceResult]],
-    list[float],
-    dict | None,
-    list[dict] | None,
-]:
-    (llm, system, strategies, top_k, constraint, instrument, chunk_index,
-     injector, bound_prune, seed_floor, columnar, trace_id) = args
-    if injector is not None:
-        injector.fire(chunk_index)
-    registry = MetricsRegistry() if instrument else None
-    start = perf_counter()
-    # Bounded min-heap of (rate, tiebreak, strategy, result): O(n log k) with
-    # k live entries, instead of periodically re-sorting a 4k-long list.
-    heap: list[tuple[float, int, ExecutionStrategy, PerformanceResult]] = []
-    rates: list[float] = []
-    feasible = 0
-    # Bound pruning: the engine skips comm/assembly for any candidate whose
-    # roofline lower bound proves its rate cannot beat the heap's current
-    # k-th best.  The ceiling is a batch-time threshold derived from the
-    # rate floor so that pruning exactly mirrors the heap's strict
-    # `rate > heap[0][0]` admission test (see prune_threshold_for_rate) —
-    # the retained top-k stays bit-identical to an unpruned run.  An
-    # optional seed floor (from search()'s cheap pre-pass) tightens the
-    # ceiling before this chunk's own heap fills.
-    prune_above = None
-    if not math.isfinite(seed_floor) or seed_floor < 0.0:
-        # A gossiped/seeded floor from an empty or all-infeasible heap can
-        # arrive as -inf or nan; pruning on it would discard the whole
-        # chunk, so it is clamped to "no floor" here (and again inside
-        # prune_threshold_for_rate).
-        seed_floor = 0.0
-    floor_rate = seed_floor
-    if bound_prune and strategies and top_k > 0:
-        batch = float(strategies[0].batch)
-        ceiling = [prune_threshold_for_rate(batch, floor_rate)]
+class _RangeTasks(Mapping):
+    """Chunk index -> range task, read at dispatch time.
 
-        def prune_above() -> float:
-            return ceiling[0]
-
-    for idx, res in iter_evaluate(
-        llm, system, strategies, prune=True, prune_above=prune_above,
-        metrics=registry, columnar=columnar,
-    ):
-        if res.pruned:
-            # Memory-feasible, provably outside the top-k; counts toward
-            # feasibility (the comm/assemble stages never reject) but has
-            # no rate to record.
-            feasible += 1
-            continue
-        if not res.feasible:
-            continue
-        if constraint is not None and not constraint(res):
-            continue
-        feasible += 1
-        rate = res.sample_rate
-        rates.append(rate)
-        entry = (rate, idx, strategies[idx], res)
-        if len(heap) < top_k:
-            heapq.heappush(heap, entry)
-        elif rate > heap[0][0]:
-            heapq.heapreplace(heap, entry)
-        else:
-            continue
-        if prune_above is not None and len(heap) == top_k:
-            kth = heap[0][0]
-            if kth > floor_rate:
-                floor_rate = kth
-                ceiling[0] = prune_threshold_for_rate(batch, floor_rate)
-    ranked = sorted(heap, key=lambda entry: (-entry[0], entry[1]))
-    top = [(strat, res) for _, _, strat, res in ranked]
-    snapshot = events = None
-    if registry is not None:
-        elapsed = perf_counter() - start
-        # Per-chunk latency distribution, merged into the parent registry
-        # alongside the engine counters (p50/p95 straggler visibility).
-        registry.observe(M_CHUNK_SECONDS, elapsed)
-        # The worker's tracer adopts the coordinator's trace context, so the
-        # chunk spans it ships back belong to the caller's trace_id.
-        tracer = Tracer(trace_id=trace_id)
-        _chunk_trace_events(
-            tracer, chunk_index, registry, start, elapsed,
-            len(strategies), feasible,
-        )
-        snapshot = registry.snapshot()
-        events = tracer.events()
-    return len(strategies), feasible, top, rates, snapshot, events
-
-
-def _chunk_payload(result: tuple, keep_rates: bool) -> dict:
-    """A chunk result as a JSON-safe journal record.
-
-    Top-k entries store the strategy and its rate, not the full
-    :class:`PerformanceResult` — resume re-evaluates the handful of
-    journaled strategies through the deterministic engine, keeping the
-    journal small and schema-stable.
+    With a ``merge`` to gossip from, every read carries its current k-th-best
+    rate as the range's ``floor_rate``, so each range starts from the
+    threshold everything merged before it already achieved, whichever
+    dispatch path runs it.
     """
-    n, feasible, top, rates, snapshot, _events = result
-    return {
-        "n": n,
-        "feasible": feasible,
-        "top": [[res.sample_rate, strat.to_dict()] for strat, res in top],
-        "rates": list(rates) if keep_rates else None,
-        "snapshot": snapshot,
-    }
 
+    def __init__(self, ranges: dict[int, tuple[int, int]], merge: TopKMerge | None):
+        self.ranges = ranges
+        self.merge = merge
 
-def _chunk_from_payload(llm: LLMConfig, system: System, payload: dict) -> tuple:
-    """Reconstruct a chunk result tuple from its journal record."""
-    top = []
-    for _rate, strat_dict in payload["top"]:
-        strat = ExecutionStrategy.from_dict(strat_dict)
-        top.append((strat, evaluate(llm, system, strat)))
-    return (
-        int(payload["n"]),
-        int(payload["feasible"]),
-        top,
-        list(payload.get("rates") or []),
-        payload.get("snapshot"),
-        None,
-    )
+    def __getitem__(self, index: int) -> tuple[int, int, int, float]:
+        start, stop = self.ranges[index]
+        threshold = self.merge.threshold() if self.merge is not None else None
+        return index, start, stop, threshold[0] if threshold else 0.0
+
+    def __iter__(self):
+        return iter(self.ranges)
+
+    def __len__(self) -> int:
+        return len(self.ranges)
 
 
 def _search_columnar(
@@ -600,7 +506,7 @@ def search(
         options: sweep restrictions; defaults to the full Table-1 space.
         top_k: how many best configurations to retain.
         workers: process count; ``None`` applies :func:`auto_workers`
-            (serial below ~2k candidates per core, documented there);
+            (serial below ~250k candidates per core, documented there);
             0/1 forces serial.
         keep_rates: retain every feasible sample rate (Fig. 6 histograms).
         constraint: optional predicate on feasible results — return False to
@@ -615,50 +521,36 @@ def search(
             for histograms and no breakdown for a predicate to inspect.
             ``num_feasible`` still counts pruned candidates (the comm and
             assembly stages never reject).
-        prune_seed: seed the prune threshold before the main pass.  On the
-            scalar chunked path this many evenly-strided candidates are
-            evaluated serially first and the k-th best rate found seeds
-            every chunk's ceiling (with seeding the top-k *rates* are
-            unchanged, but a different member of an exact k-th-rate tie
-            may be retained).  On the pure-columnar adaptive path it sizes
-            the surrogate-picked tile-0 seed sample instead (0 keeps the
-            default size, negative disables seeding) and the result stays
-            fully bit-identical — seeding only reorders evaluation.
+        prune_seed: sizes the surrogate-picked tile-0 seed sample of the
+            single-range adaptive columnar path (0 keeps the default size,
+            negative disables seeding).  Speed only: the result stays
+            bit-identical.  Chunked dispatches seed each range with the
+            running k-th-best rate instead.
         columnar: route evaluation through the vectorized columnar engine
-            (:mod:`repro.engine.batch`).  ``None`` (the default) engages it
-            whenever it applies; ``False`` forces the scalar pipeline
-            everywhere.  A serial search with no ``constraint`` and no
-            fault-tolerance features runs *pure*-columnar: candidates are
-            enumerated straight into NumPy columns and the whole space is
-            evaluated as one struct-of-arrays batch, materializing only
-            the top-k winners.  With ``bound_prune`` and
-            ``keep_rates=False`` that batch runs the adaptive
-            best-bound-first tiled path — buckets visited in roofline-
-            bound order, a strict self-tightening threshold skipping
-            hopeless buckets — which is where the engine's pruning pays
-            off most (see :func:`_search_columnar`).  Multi-worker and
-            supervised searches keep their chunked dispatch, with each
-            chunk evaluated columnar inside
-            :func:`~repro.engine.iter_evaluate`.  Results are bit-identical
-            either way.
-        surrogate: let the adaptive columnar path seed tile 0 from the
-            online learned ranking persisted in the surrogate store (see
-            :mod:`repro.search.surrogate`).  Speed-only — top-k identical
-            on or off; ``--no-surrogate`` maps here.
+            (:mod:`repro.engine.batch`).  ``None`` (the default) and
+            ``True`` enumerate straight into NumPy columns and evaluate
+            column ranges, materializing only the top-k winners; ``False``
+            enumerates :class:`ExecutionStrategy` objects and evaluates
+            them through the scalar pipeline — the test oracle.  A plain
+            serial search with ``bound_prune`` and ``keep_rates=False``
+            runs the adaptive best-bound-first tiled path over the whole
+            space (see :func:`_search_columnar`).  Results are
+            bit-identical either way.
+        surrogate: let the single-range adaptive columnar path seed tile 0
+            from the online learned ranking persisted in the surrogate
+            store (see :mod:`repro.search.surrogate`).  Speed-only — top-k
+            identical on or off; ``--no-surrogate`` maps here.
         tracer: records enumeration/chunk/stage spans (worker events merge
             onto the parent timeline; CLOCK_MONOTONIC is machine-wide).
         collect_stats: attach a :class:`~repro.obs.SweepStats` (per-stage
             rejection counts, dedup hit rates, candidates/sec) to the
-            result, aggregated across worker chunks.
+            result, aggregated across chunks.
         progress: fed one update per finished chunk (its total is set to
             the candidate count once enumeration finishes).
         events: a :class:`~repro.obs.EventJournal` flight recorder; the
-            search emits ``search.start``/``search.done`` plus the full
-            chunk lifecycle (dispatch, done, retry, timeout, fallback,
-            skip, resume, truncation).  Supplying a journal engages the
-            supervised chunked dispatch path — the layer where the
-            lifecycle exists — so a journaled serial search is chunked
-            like a checkpointed one.
+            search emits ``search.start``/``search.done`` plus the chunk
+            lifecycle (dispatch, done, retry, timeout, fallback, skip,
+            resume, truncation).
         checkpoint: path of a JSONL checkpoint journal; every completed
             chunk is journaled so an interrupted sweep can be resumed.
         resume: reload ``checkpoint`` and skip already-journaled chunks
@@ -666,8 +558,8 @@ def search(
             :class:`~repro.search.checkpoint.CheckpointMismatch` when the
             journal belongs to a different problem.
         deadline: wall-clock budget in seconds (measured from this call).
-            Enumeration stops cleanly at a chunk boundary once it passes
-            and the partial result is flagged ``truncated=True``.
+            Dispatch stops cleanly at a chunk boundary once it passes and
+            the partial result is flagged ``truncated=True``.
         retry_policy: per-chunk timeout / bounded-retry / backoff policy
             (see :class:`~repro.search.faults.RetryPolicy`).  A chunk that
             fails every pool retry is re-run serially; if it still fails
@@ -675,110 +567,76 @@ def search(
         fault_injector: deterministic test hook that makes one chunk raise,
             hang or crash (see :class:`~repro.search.faults.FaultInjector`).
 
-    ``events`` or any of the last five arguments engages the supervised
-    dispatch path (and forces chunked evaluation); without them the fast
-    legacy dispatch is used and behavior is unchanged.
+    The chunk layout depends only on ``workers`` and the per-chunk features
+    (``checkpoint``, ``deadline``, ``retry_policy``, ``fault_injector``):
+    one range when serial without them, else ``4 * workers`` ranges run by
+    :func:`~repro.search.faults.run_supervised`.  ``events``, ``tracer``,
+    ``collect_stats`` and ``progress`` only observe; they never change the
+    layout or the evaluator.
     """
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint path")
     t_start = perf_counter()
+    opts = options or SearchOptions()
     instrument = collect_stats or tracer is not None
-    fault_mode = (
-        events is not None
-        or checkpoint is not None
+    supervised = (
+        checkpoint is not None
         or deadline is not None
         or retry_policy is not None
         or fault_injector is not None
     )
-    # Pure-columnar dispatch: a serial, unsupervised, unconstrained search
-    # never needs per-candidate scalar results, so enumerate straight into
-    # NumPy columns and evaluate the whole space as one vectorized batch.
-    # ImportError (NumPy below the columnar floor) and unencodable option
-    # spaces fall back to the scalar enumeration below.
-    engine_batch = search_columns = None
-    if columnar is not False and constraint is None and not fault_mode:
-        try:
-            from ..engine import batch as engine_batch
-            from . import columns as search_columns
-        except ImportError:
-            engine_batch = search_columns = None
-    t0 = perf_counter()
-    cols = None
-    if search_columns is not None:
-        cols = search_columns.candidate_columns(
-            llm, system, batch, options or SearchOptions()
-        )
-    if cols is not None:
-        n_cand = int(cols["t"].shape[0])
-        workers = auto_workers(n_cand) if workers is None else workers
-        if workers <= 1:
-            if tracer is not None:
-                tracer.add_span("enumerate", "search", t0,
-                                perf_counter() - t0, candidates=n_cand)
-            return _search_columnar(
-                llm, system, batch, cols, engine_batch,
-                top_k=top_k, keep_rates=keep_rates, instrument=instrument,
-                collect_stats=collect_stats, tracer=tracer,
-                progress=progress, t_start=t_start,
-                options=options, bound_prune=bound_prune,
-                prune_seed=prune_seed, surrogate=surrogate,
-            )
-    strategies = list(candidate_strategies(llm, system, batch, options))
+    # Unencodable option spaces (unknown mode names) enumerate as scalar
+    # strategies, whose validate stage reports the bad name.
+    cols = candidate_columns(llm, system, batch, opts) if columnar is not False else None
+    strategies = None
+    if cols is None:
+        strategies = list(candidate_strategies(llm, system, batch, opts))
+    n = int(cols["t"].shape[0]) if cols is not None else len(strategies)
     if tracer is not None:
-        tracer.add_span("enumerate", "search", t0, perf_counter() - t0,
-                        candidates=len(strategies))
-    if progress is not None:
-        progress.set_total(len(strategies))
-    if workers is None:
-        workers = auto_workers(len(strategies))
-    # Bound pruning engages only when the caller needs nothing beyond the
-    # top-k ranking (see the docstring); the flag rides into every chunk.
-    do_prune = bool(
-        bound_prune and constraint is None and not keep_rates and top_k > 0
-    )
-    seed_floor = 0.0
-    if do_prune and prune_seed > 0 and len(strategies) > 0:
-        stride = max(1, len(strategies) // prune_seed)
-        sample = strategies[::stride][:prune_seed]
-        sample_rates = sorted(
-            (r.sample_rate for r in evaluate_many(llm, system, sample)
-             if r.feasible),
-            reverse=True,
-        )
-        if len(sample_rates) >= top_k:
-            seed_floor = sample_rates[top_k - 1]
-    # Instrumented, progress-reporting or fault-supervised serial runs are
-    # chunked too — checkpoints, deadlines and retries all operate at chunk
-    # granularity; a plain serial run stays single-chunk (identical behavior
-    # to the fast path).
-    chunked = workers > 1 or ((instrument or progress is not None or fault_mode)
-                              and len(strategies) > 1)
-    step = max(len(strategies), 1)
-    if chunked:
-        step = math.ceil(len(strategies) / (max(workers, 1) * 4))
+        tracer.add_span("enumerate", "search", t_start, perf_counter() - t_start,
+                        candidates=n)
+    workers = max(1, auto_workers(n) if workers is None else workers)
+    chunked = workers > 1 or supervised
+    trace_id = tracer.trace_id if tracer is not None else None
 
+    if not chunked and cols is not None and constraint is None:
+        _emit(events, "search.start", candidates=n, workers=1, chunks=1,
+              trace_id=trace_id)
+        _emit(events, "chunk.dispatch", chunk=0, attempt=0, mode="serial")
+        result = _search_columnar(
+            llm, system, batch, cols, engine_batch,
+            top_k=top_k, keep_rates=keep_rates, instrument=instrument,
+            collect_stats=collect_stats, tracer=tracer,
+            progress=progress, t_start=t_start,
+            options=options, bound_prune=bound_prune,
+            prune_seed=prune_seed, surrogate=surrogate,
+        )
+        seconds = perf_counter() - t_start
+        _emit(events, "chunk.done", chunk=0, seconds=seconds)
+        _emit(events, "search.done", seconds=seconds,
+              evaluated=result.num_evaluated, feasible=result.num_feasible,
+              retries=0, resumed=0, truncated=False)
+        return result
+
+    step = math.ceil(n / (workers * CHUNKS_PER_WORKER)) if chunked else n
     journal = None
     if checkpoint is not None:
         key = run_key(
-            llm, system, batch, options or SearchOptions(), kind="search",
+            llm, system, batch, opts, kind="search",
             extra={
+                # Records are evaluate_chunk wire payloads over global
+                # column ranges; the tag keeps other record formats from
+                # resuming.
+                "format": "ranges-v2",
                 "top_k": top_k,
                 "keep_rates": keep_rates,
                 "constraint": getattr(constraint, "__qualname__", str(constraint))
                 if constraint is not None else None,
-                # prune_seed can change which member of an exact rate tie is
-                # retained, so a seeded journal never mixes with an unseeded
-                # resume; seedless pruning is bit-identical and needs no key.
-                "prune_seed": int(prune_seed) if do_prune else 0,
             },
         )
         journal = CheckpointJournal.open(
             checkpoint, key, resume=resume, events=events,
-            meta={
-                "step": step,
-                "num_candidates": len(strategies),
-                "trace_id": tracer.trace_id if tracer is not None else None,
-            },
+            meta={"step": step, "num_candidates": n, "trace_id": trace_id},
         )
         # The journal's chunk layout wins: resuming with a different worker
         # count must slice the space exactly as the original run did.
@@ -786,139 +644,108 @@ def search(
         # So does its trace identity: a resumed run continues the original
         # trace, letting the stitched Chrome trace span both invocations.
         if tracer is not None and journal.meta.get("trace_id"):
-            tracer.trace_id = str(journal.meta["trace_id"])
+            tracer.trace_id = trace_id = str(journal.meta["trace_id"])
+    step = max(step, 1)
+    ranges = {i: (lo, min(lo + step, n)) for i, lo in enumerate(range(0, n, step))}
+    logger.debug("search: %d candidates, %d workers, %d chunks (supervised=%s)",
+                 n, workers, len(ranges), supervised)
+    _emit(events, "search.start", candidates=n, workers=workers,
+          chunks=len(ranges), trace_id=trace_id)
+    if progress is not None:
+        progress.set_total(n)
 
-    chunks: list[list[ExecutionStrategy]] = [strategies]
-    if chunked:
-        chunks = [strategies[i : i + step] for i in range(0, len(strategies), step)]
-    logger.debug(
-        "search: %d candidates, %d workers, %d chunks (instrumented=%s, "
-        "supervised=%s)",
-        len(strategies), workers, len(chunks), instrument, fault_mode,
-    )
+    prune = bool(bound_prune and constraint is None and not keep_rates and top_k > 0)
+    merge = TopKMerge(top_k)
+    payloads: dict[int, dict] = {}
 
-    trace_id = tracer.trace_id if tracer is not None else None
-    args = [
-        (llm, system, c, top_k, constraint, instrument, n, fault_injector,
-         do_prune, seed_floor, columnar, trace_id)
-        for n, c in enumerate(chunks)
-    ]
-    truncated = False
-    retries = 0
-    resumed = 0
-    skipped_ranges: tuple[tuple[int, int], ...] = ()
-    results: list[tuple[int, int, list, list, dict | None, list | None]]
-    if events is not None:
-        events.emit(
-            "search.start", candidates=len(strategies),
-            workers=max(workers, 1), chunks=len(chunks), trace_id=trace_id,
-        )
-    if fault_mode:
-        chunk_results: dict[int, tuple] = {}
-        tasks: dict[int, tuple] = {}
-        for n, a in enumerate(args):
-            if journal is not None and str(n) in journal:
-                chunk_results[n] = _chunk_from_payload(llm, system, journal.get(str(n)))
-                resumed += 1
-                if events is not None:
-                    events.emit("chunk.resumed", chunk=n)
-            else:
-                tasks[n] = a
+    def absorb(index: int, payload: dict) -> None:
+        payloads[index] = payload
+        merge.extend(payload["top"])
         if progress is not None:
-            for n in sorted(chunk_results):
-                progress.update(chunk_results[n][0], chunk_results[n][1])
+            progress.update(payload["n"], payload["feasible"])
 
-        def _on_chunk(n: int, r: tuple) -> None:
-            chunk_results[n] = r
-            if journal is not None:
-                journal.record(str(n), _chunk_payload(r, keep_rates))
-            if progress is not None:
-                progress.update(r[0], r[1])
+    def on_result(index: int, payload: dict) -> None:
+        if journal is not None:
+            journal.record(str(index), {
+                key: payload[key]
+                for key in ("n", "feasible", "top", "rates", "snapshot")
+            })
+        absorb(index, payload)
 
-        report = run_supervised(
-            _evaluate_chunk,
-            tasks,
-            workers=max(workers, 1),
-            policy=retry_policy,
-            deadline=t_start + deadline if deadline is not None else None,
-            on_result=_on_chunk,
-            events=events,
-            tracer=tracer,
-        )
-        truncated = report.truncated
-        retries = report.retries
-        skipped_ranges = tuple(
-            (n * step, min((n + 1) * step, len(strategies)))
-            for n in report.skipped
-        )
-        results = [chunk_results[n] for n in sorted(chunk_results)]
-    elif workers > 1 and len(chunks) > 1:
-        results = [None] * len(chunks)  # type: ignore[list-item]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = {pool.submit(_evaluate_chunk, a): n for n, a in enumerate(args)}
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    n = pending.pop(future)
-                    results[n] = future.result()
-                    if progress is not None:
-                        progress.update(results[n][0], results[n][1])
-    else:
-        # Serial chunked dispatch runs chunks in sequence, so the prune
-        # threshold can gossip forward: the running k-th-best rate across
-        # completed chunks seeds the next chunk's ceiling.  Lossless for
-        # the merged top-k — the merge keeps earlier chunks' members of an
-        # exact k-th-rate tie, which is precisely what the earlier-chunk
-        # floor prunes from later chunks.
-        results = []
-        gossip_heap: list[float] = []
-        floor = seed_floor
-        for a in args:
-            if do_prune and floor > a[9]:
-                a = a[:9] + (floor,) + a[10:]
-            r = _evaluate_chunk(a)
-            results.append(r)
-            if progress is not None:
-                progress.update(r[0], r[1])
-            if do_prune and top_k > 0:
-                for _strat, res in r[2]:
-                    rate = res.sample_rate
-                    if not math.isfinite(rate):
-                        continue
-                    if len(gossip_heap) < top_k:
-                        heapq.heappush(gossip_heap, rate)
-                    elif rate > gossip_heap[0]:
-                        heapq.heapreplace(gossip_heap, rate)
-                if len(gossip_heap) == top_k and gossip_heap[0] > floor:
-                    floor = gossip_heap[0]
+    for index in ranges:
+        if journal is not None and str(index) in journal:
+            absorb(index, journal.get(str(index)))
+            _emit(events, "chunk.resumed", chunk=index)
+    resumed = len(payloads)
+    tasks = _RangeTasks({i: r for i, r in ranges.items() if i not in payloads},
+                        merge if prune else None)
+
+    runner = _RangeRunner(
+        llm=llm, system=system, batch=batch, options=opts,
+        space_key=run_key(llm, system, batch, opts, kind="search-space",
+                          extra={"columnar": cols is not None}),
+        columnar=cols is not None, top_k=top_k, keep_rates=keep_rates,
+        prune=prune, constraint=constraint, instrument=instrument,
+        trace_id=trace_id, injector=fault_injector,
+    )
+    global _SPACE
+    _SPACE = (runner.space_key, cols, strategies)
+    retries = 0
+    truncated = False
+    skipped_ranges: tuple[tuple[int, int], ...] = ()
+    try:
+        if chunked:
+            report = run_supervised(
+                runner, tasks, workers=workers, policy=retry_policy,
+                deadline=t_start + deadline if deadline is not None else None,
+                on_result=on_result, events=events, tracer=tracer,
+            )
+            retries, truncated = report.retries, report.truncated
+            skipped_ranges = tuple(ranges[i] for i in report.skipped)
+        else:
+            # One range, in process: nothing to supervise, so a failure
+            # propagates to the caller.
+            for index in tasks:
+                _emit(events, "chunk.dispatch", chunk=index, attempt=0,
+                      mode="serial")
+                on_result(index, runner(tasks[index]))
+                _emit(events, "chunk.done", chunk=index,
+                      seconds=payloads[index]["elapsed_s"])
+    finally:
+        _SPACE = None
     if progress is not None:
         progress.finish()
 
-    num_eval = sum(r[0] for r in results)
-    num_feasible = sum(r[1] for r in results)
-    merged = [sr for r in results for sr in r[2]]
-    merged.sort(key=lambda sr: -sr[1].sample_rate)
-    merged = merged[:top_k]
-    rates = (
-        np.concatenate([np.asarray(r[3], dtype=float) for r in results])
-        if keep_rates and any(r[3] for r in results)
-        else np.empty(0)
-    )
-    best_strategy, best = (merged[0][0], merged[0][1]) if merged else (None, None)
+    results = [payloads[i] for i in sorted(payloads)]
+    num_eval = sum(int(p["n"]) for p in results)
+    num_feasible = sum(int(p["feasible"]) for p in results)
+    rates = np.empty(0)
+    if keep_rates and any(p.get("rates") for p in results):
+        rates = np.concatenate(
+            [np.asarray(p.get("rates") or [], dtype=float) for p in results]
+        )
+    # Only the winners are materialized, through the scalar pipeline —
+    # bit-identical to the ranges' results by the engine's equivalence
+    # contract, and a few microseconds each.
+    top = []
+    for _rate, _gidx, strat_dict in merge.entries():
+        strat = ExecutionStrategy.from_dict(strat_dict)
+        top.append((strat, evaluate(llm, system, strat)))
+    best_strategy, best = top[0] if top else (None, None)
 
-    stats = None
     if tracer is not None:
-        for r in results:
-            if r[5]:
-                tracer.add_events(r[5])
-    if collect_stats or fault_mode:
+        for p in results:
+            if p.get("events"):
+                tracer.add_events(p["events"])
+    stats = None
+    if collect_stats or supervised or retries or skipped_ranges:
         registry = MetricsRegistry.from_snapshots(
-            r[4] for r in results if r[4] is not None
+            p["snapshot"] for p in results if p.get("snapshot") is not None
         )
         stats = SweepStats(
             engine=PruneStats.from_metrics(registry),
             elapsed=perf_counter() - t_start,
-            workers=max(workers, 1),
+            workers=workers,
             num_evaluated=num_eval,
             num_feasible=num_feasible,
             retries=retries,
@@ -926,19 +753,22 @@ def search(
             resumed_chunks=resumed,
             truncated=truncated,
         )
-    if events is not None:
-        events.emit(
-            "search.done", seconds=perf_counter() - t_start,
-            evaluated=num_eval, feasible=num_feasible, retries=retries,
-            resumed=resumed, truncated=truncated,
-        )
+    _emit(events, "search.done", seconds=perf_counter() - t_start,
+          evaluated=num_eval, feasible=num_feasible, retries=retries,
+          resumed=resumed, truncated=truncated)
     return SearchResult(
         best=best,
         best_strategy=best_strategy,
-        top=merged,
+        top=top,
         num_evaluated=num_eval,
         num_feasible=num_feasible,
         sample_rates=rates,
         stats=stats,
         truncated=truncated,
     )
+
+
+def _emit(events: EventJournal | None, kind: str, **fields: Any) -> None:
+    """Journal one search lifecycle event; a ``None`` journal costs a branch."""
+    if events is not None:
+        events.emit(kind, **fields)

@@ -7,8 +7,7 @@ an incremental least-squares regressor over fast-path artifact features —
 flops, bytes and comm volumes that the profile/memory stages already
 materialized as columns — predicting each bucket's achievable rate.  A
 trained surrogate picks the tile-0 seed sample (the buckets evaluated
-first), which pre-tightens the threshold before bound order takes over,
-replacing the stride-based ``prune_seed`` pre-pass on the columnar path.
+first), which pre-tightens the threshold before bound order takes over.
 
 Soundness: the surrogate is a **speed-only** hint.  It influences nothing
 but the order in which buckets are visited; the engine's strict threshold
@@ -280,10 +279,9 @@ def store_surrogate(key: str, sur: RateSurrogate) -> None:
 def seed_sample_size(prune_seed: int, top_k: int) -> int:
     """Tile-0 seed size from the ``--prune-seed`` knob.
 
-    On the adaptive columnar path ``prune_seed`` no longer means "stride
-    this many scalar pre-evaluations"; it sizes the surrogate-picked seed
-    sample.  ``0`` keeps the default (enough buckets to fill a tile);
-    negative disables seeding.
+    ``prune_seed`` sizes the surrogate-picked seed sample of the
+    single-range adaptive columnar path.  ``0`` keeps the default (enough
+    buckets to fill a tile); negative disables seeding.
     """
     if prune_seed < 0:
         return 0

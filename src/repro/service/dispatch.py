@@ -34,7 +34,6 @@ from ..obs import (
     M_BOUND_TILES,
     M_COLUMNAR_BATCHES,
     M_COLUMNAR_CANDIDATES,
-    M_COLUMNAR_FALLBACK,
     M_COMM_CACHE_HITS,
     M_COMM_CACHE_MISSES,
     M_SURROGATE_SEEDED,
@@ -112,7 +111,7 @@ class MicroBatcher:
             M_BOUND_EVALS, M_BOUND_PRUNED, M_BOUND_TILES,
             M_BOUND_SKIPPED_BUCKETS, M_SURROGATE_SEEDED,
             M_COMM_CACHE_HITS, M_COMM_CACHE_MISSES,
-            M_COLUMNAR_BATCHES, M_COLUMNAR_CANDIDATES, M_COLUMNAR_FALLBACK,
+            M_COLUMNAR_BATCHES, M_COLUMNAR_CANDIDATES,
         ):
             self.metrics.inc(name, 0.0)
         self._default_engine = engine is None

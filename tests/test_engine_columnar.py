@@ -34,7 +34,6 @@ from repro.llm import GPT3_175B, TINY_TEST
 from repro.obs import (
     M_COLUMNAR_BATCHES,
     M_COLUMNAR_CANDIDATES,
-    M_COLUMNAR_FALLBACK,
     MetricsRegistry,
     PruneStats,
     Tracer,
@@ -59,7 +58,7 @@ CASES = [
 # distinct kernel shapes (asserted separately below).
 _PATH_DEPENDENT = {
     "stage_seconds", "columnar_batches", "columnar_candidates",
-    "columnar_fallback", "comm_cache_hits",
+    "comm_cache_hits",
 }
 
 
@@ -145,7 +144,6 @@ def test_columnar_stats_counters_match_scalar(llm, system):
     _assert_comm_cache_consistent(s_stats, c_stats)
     assert c_stats.columnar_batches == 1
     assert c_stats.columnar_candidates == len(GRID)
-    assert c_stats.columnar_fallback == 0
     assert s_stats.columnar_batches == 0
 
 
@@ -289,17 +287,36 @@ def test_search_columnar_stats_and_trace():
     assert "comm" in names and "assemble" in names
 
 
-def test_search_with_constraint_stays_scalar(monkeypatch):
-    """A constraint forces the scalar path — the enumerator must not run."""
-    def boom(*args, **kwargs):  # pragma: no cover - failure path
-        raise AssertionError("columnar enumerator used despite constraint")
+def _mfu_floor(res):
+    return res.mfu > 0.05
 
-    monkeypatch.setattr(search_columns, "candidate_columns", boom)
+
+def test_search_with_constraint_runs_columnar(monkeypatch):
+    """A constraint filters materialized columnar survivors: the scalar
+    enumerator never runs, and the answer matches the scalar oracle."""
+    from repro.search import execution_search
+
+    clear_caches()
+    oracle = search(
+        TINY_TEST, SYS64, 64, top_k=3, workers=0, columnar=False,
+        bound_prune=False, constraint=_mfu_floor,
+    )
+
+    def boom(*args, **kwargs):  # pragma: no cover - failure path
+        raise AssertionError("scalar enumerator used on the columnar path")
+
+    monkeypatch.setattr(execution_search, "candidate_strategies", boom)
+    clear_caches()
     res = search(
         TINY_TEST, SYS64, 64, top_k=3, workers=0, columnar=True,
-        constraint=lambda r: r.mfu > 0,
+        constraint=_mfu_floor,
     )
     assert res.top
+    assert res.num_feasible == oracle.num_feasible
+    assert np.array_equal(res.sample_rates, oracle.sample_rates)
+    for (s1, r1), (s2, r2) in zip(oracle.top, res.top):
+        assert s1 == s2
+        assert _fields(r1) == _fields(r2)
 
 
 def test_search_chunked_workers_matches_serial():
@@ -333,24 +350,7 @@ def test_numpy_floor_checks_installed_version():
     engine_batch.check_numpy_version()  # the environment itself must pass
 
 
-# -- scalar fallback counter ------------------------------------------------
-
-
-def test_columnar_fallback_counts_and_still_answers(monkeypatch):
-    def unavailable():
-        raise ImportError("numpy too old (test)")
-
-    monkeypatch.setattr(engine_api, "_load_batch", unavailable)
-    clear_caches()
-    results, stats = evaluate_many(
-        TINY_TEST, SYS64, GRID, prune=True, stats=True, columnar=True
-    )
-    clear_caches()
-    oracle = [calculate(TINY_TEST, SYS64, s) for s in GRID]
-    for s, c in zip(oracle, results):
-        assert _fields(s) == _fields(c)
-    assert stats.columnar_fallback == 1
-    assert stats.columnar_batches == 0
+# -- auto routing -----------------------------------------------------------
 
 
 def test_columnar_auto_routing_respects_size_floor():
@@ -410,7 +410,6 @@ def test_microbatcher_forwards_columnar_to_default_engine_only():
     finally:
         mb2.stop()
     assert mb2.metrics.value(M_COLUMNAR_BATCHES) == 0
-    assert mb2.metrics.value(M_COLUMNAR_FALLBACK) == 0
 
 
 # -- stats plumbing and System hash -----------------------------------------
@@ -420,11 +419,9 @@ def test_prunestats_columnar_counters_merge_and_print():
     reg = MetricsRegistry()
     reg.inc(M_COLUMNAR_BATCHES, 2)
     reg.inc(M_COLUMNAR_CANDIDATES, 100)
-    reg.inc(M_COLUMNAR_FALLBACK, 1)
     stats = PruneStats.from_metrics(reg)
     assert stats.columnar_batches == 2
     assert stats.columnar_candidates == 100
-    assert stats.columnar_fallback == 1
     merged = stats.merged(stats)
     assert merged.columnar_batches == 4
     assert merged.columnar_candidates == 200

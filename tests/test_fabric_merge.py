@@ -11,9 +11,8 @@ against two references:
 
 * the total-order reference ``sorted(entries, key=(-rate, gidx))[:k]`` —
   the retention rule ``_search_columnar`` implements with ``np.lexsort``;
-* an emulation of the serial scalar heap in
-  ``execution_search._evaluate_chunk`` (strict ``rate > heap[0][0]``
-  admission), which coincides with the total order whenever rates are
+* an emulation of the former serial scalar heap (strict
+  ``rate > heap[0][0]`` admission), which coincides with the total order whenever rates are
   unique — the tie-free case every real sweep of this model lands in.
 """
 
@@ -51,8 +50,8 @@ def _reference(entries, k):
 
 
 def _serial_heap(entries, k):
-    """The scalar chunk heap from ``execution_search._evaluate_chunk``:
-    strict rate-only admission over a min-heap of ``(rate, gidx)``."""
+    """The former serial scalar chunk heap: strict rate-only admission
+    over a min-heap of ``(rate, gidx)``."""
     heap = []
     for rate, gidx, payload in entries:
         entry = (rate, gidx, payload)

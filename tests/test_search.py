@@ -184,12 +184,18 @@ def test_impossible_constraint_empties_search():
 
 
 def test_auto_workers_stays_serial_for_small_sweeps():
+    # One worker per 250k candidates: the columnar evaluator prices
+    # ~0.5-1M candidates/s per core, so a smaller share does not repay a
+    # pool's start-up and per-worker cold profile.
+    assert MIN_STRATEGIES_PER_WORKER == 250_000
     assert auto_workers(0, cpu_count=64) == 1
     assert auto_workers(MIN_STRATEGIES_PER_WORKER - 1, cpu_count=64) == 1
+    assert auto_workers(133_824, cpu_count=64) == 1  # Megatron-1T / 3072 GPUs
 
 
 def test_auto_workers_scales_with_candidates_and_caps_at_cores():
     per = MIN_STRATEGIES_PER_WORKER
+    assert auto_workers(500_000, cpu_count=64) == 2
     assert auto_workers(2 * per, cpu_count=64) == 2
     assert auto_workers(10 * per, cpu_count=64) == 10
     assert auto_workers(10_000 * per, cpu_count=8) == 8  # core-count cap

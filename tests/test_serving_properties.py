@@ -2,11 +2,11 @@
 
 Covers the legacy single-queue model (``repro.inference.batching``) and
 the deployment simulator (``repro.serving``): fixed-seed determinism,
-monotone latency in offered load, KV byte conservation, and percentile
+latency against offered load, KV byte conservation, and percentile
 ordering — the properties docs/SERVING.md promises.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.system import h100_system
@@ -47,15 +47,28 @@ def test_batching_fixed_seed_determinism(rate, seed):
 
 @settings(max_examples=10, deadline=None)
 @given(rate=st.floats(min_value=1.0, max_value=50.0), seed=seeds)
-def test_batching_latency_monotone_in_rate(rate, seed):
-    """More offered load never improves mean latency (same gap draws)."""
-    def run(r):
+@example(rate=27.0, seed=5863)
+def test_batching_latency_never_beats_unloaded(rate, seed):
+    """Offered load never makes mean latency better than serving alone.
+
+    Mean latency is *not* monotone in the rate for this model: a request
+    joins the batch only at a decode-iteration boundary, so its wait for
+    the running iteration depends on where in it the request arrives, and
+    compressing the same gap draws can shorten that wait.  The pinned
+    example shows it: 6.850470e-4 s at 4x the load vs 6.850798e-4 s at 1x.
+    What holds is the zero-load floor (docs/SERVING.md): every request
+    pays its own prefill plus generate_len decode steps, and a step is
+    never cheaper than the lone step at that request's context — step time
+    grows with the batch and with its total context.
+    """
+    def run(r, n=25):
         wl = ServingWorkload(arrival_rate=r, prompt_len=128, generate_len=16,
-                             num_requests=25, seed=seed)
+                             num_requests=n, seed=seed)
         return simulate_serving(TINY_TEST, SYS, STRAT, wl)
 
-    slow, fast = run(rate), run(rate * 4.0)
-    assert fast.mean_latency >= slow.mean_latency * (1.0 - 1e-9)
+    unloaded = run(rate, n=1).mean_latency
+    for r in (rate, rate * 4.0):
+        assert run(r).mean_latency >= unloaded * (1.0 - 1e-9)
 
 
 # -- deployment simulator (repro.serving) -------------------------------------
